@@ -3,6 +3,8 @@
 #
 #   ./ci.sh          # format check, clippy, xylem-lint audit, full test suite
 #   ./ci.sh lint     # determinism audit only: xylem-lint text + --json modes
+#   ./ci.sh testlist # test registry check: no test name listed twice
+#                    # within any one test binary (`cargo test -- --list`)
 #   ./ci.sh sanitize # sanitizer lane: miri (if installed) over the pure
 #                    # crates + thread-count determinism digests (default
 #                    # and GMG-forced solver configurations)
@@ -45,6 +47,28 @@ if [[ "${1:-}" == "lint" ]]; then
   shift
   echo "==> xylem-lint determinism audit"
   cargo run -q -p xylem-lint -- "$@"
+  exit 0
+fi
+
+# Fails if any test binary registers the same test name twice (e.g. a
+# property macro that adds its own `#[test]` on top of the caller's: the
+# twins run concurrently and race on process-global state).
+check_test_registry() {
+  echo "==> test registry (no duplicate test names within a binary)"
+  cargo test --workspace -- --list 2>&1 | awk '
+    /^ *(Running|Doc-tests) / { bin = $0; sub(/^ +/, "", bin); split("", seen); next }
+    /: (test|bench)$/ {
+      if (seen[$0]++) { print "duplicate test in " bin ": " $0; dup = 1 }
+      n++
+    }
+    END {
+      if (n == 0) { print "no tests listed"; exit 1 }
+      exit dup
+    }'
+}
+
+if [[ "${1:-}" == "testlist" ]]; then
+  check_test_registry
   exit 0
 fi
 
@@ -160,6 +184,8 @@ echo "==> xylem-lint determinism audit (nine rules, baseline ratchet, stale chec
 cargo run -q -p xylem-lint
 echo "==> xylem-lint --json (machine-readable findings, schema-locked JSONL)"
 cargo run -q -p xylem-lint -- --json
+
+check_test_registry
 
 echo "==> cargo test"
 cargo test -q --workspace

@@ -8,12 +8,22 @@
 //! ```
 //!
 //! [`ThermalResponse::compute`] solves one steady-state problem per power
-//! source (81 processor blocks + one uniform source per DRAM die) and
+//! source (83 processor blocks + one uniform source per DRAM die) and
 //! stores the responses at the two sensor layers the experiments read:
 //! the processor metal layer and the bottom-most DRAM metal layer. Every
 //! subsequent evaluation is then a dense dot product instead of a solve —
 //! this is what makes sweeping 17 applications x 5 schemes x 12
 //! frequencies practical.
+//!
+//! The unit solves run as `CHAINS` contiguous warm-start chains: each
+//! chain solves its sources in order, seeding every solve with the
+//! previous source's field. The chains run on the thread pool over one
+//! shared model (the model is read-only during a solve; all mutable
+//! solver state lives in the workspace), one workspace and warm-start
+//! field per running chain, and write their rows into slots
+//! preallocated by source index. The partition is a constant, not the
+//! thread count, so every warm start — and with it every response bit —
+//! is the same on any pool size.
 //!
 //! Responses are cached on disk (JSON under a caller-supplied directory)
 //! keyed by a hash of the full stack configuration.
@@ -29,8 +39,30 @@ use xylem_thermal::error::ThermalError;
 use xylem_thermal::grid::GridSpec;
 use xylem_thermal::power::PowerMap;
 use xylem_thermal::units::{Celsius, Watts};
+use xylem_thermal::{DeadlineGuard, SolverWorkspace, TemperatureField};
 
 use crate::Result;
+
+/// Number of warm-start chains the unit sources are split into. Fixed
+/// (not a knob, not the pool size) because the partition decides which
+/// field seeds each solve: changing it changes response bits within the
+/// solver tolerance, and needs a [`ThermalResponse`] cache-version bump.
+/// Eight chains keep two to eight threads busy while each chain stays
+/// long enough (11-12 sources) for warm starts to pay off.
+const CHAINS: usize = 8;
+
+/// A task's solver state, reused by each chain it runs: workspace,
+/// warm-start field and unit power map.
+type Kit = (SolverWorkspace, TemperatureField, PowerMap);
+
+/// One unit power source.
+#[derive(Debug, Clone, Copy)]
+enum Source<'a> {
+    /// 1 W spread over a processor block.
+    Block(&'a str),
+    /// 1 W spread uniformly over a DRAM die's metal layer.
+    Die(usize),
+}
 
 /// Sensor-layer responses to unit power in each source.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -66,56 +98,99 @@ impl ThermalResponse {
 
         let proc_blocks: Vec<String> = model.block_names(pm_layer).to_vec();
         let n_dram = built.dram_metal_layers().len();
-
-        let mut proc_response = Vec::with_capacity(proc_blocks.len() + n_dram);
-        let mut dram_response = Vec::with_capacity(proc_blocks.len() + n_dram);
+        let sources: Vec<Source<'_>> = proc_blocks
+            .iter()
+            .map(|b| Source::Block(b))
+            .chain(built.dram_metal_layers().iter().map(|&l| Source::Die(l)))
+            .collect();
 
         // Ambient field: zero power everywhere -> everything at ambient.
         // (The affine term is just the ambient constant for this package.)
         let ambient_c = model.ambient().get();
-        let unit = Watts::new(1.0);
+        let n = sources.len();
+        // Every row is allocated here, up front, so no long-lived row
+        // lands between the chains' short-lived solver buffers in a
+        // worker thread's allocator arena (which would keep the arena
+        // from returning those buffers' pages).
+        let mut proc_response = vec![vec![0.0; grid.cells()]; n];
+        let mut dram_response = vec![vec![0.0; grid.cells()]; n];
+        // Per chain: the residual of its last solve, or its first error.
+        let mut outcomes: Vec<Result<Option<f64>>> = (0..CHAINS).map(|_| Ok(None)).collect();
 
-        // One workspace for all ~91 unit solves, each warm-started from
-        // the previous source's field: neighbouring blocks produce
-        // similar unit responses, so the chain converges in a fraction
-        // of the cold per-solve iteration count.
-        let mut ws = xylem_thermal::SolverWorkspace::new();
-        let mut prev: Option<xylem_thermal::TemperatureField> = None;
-        for block in &proc_blocks {
-            let mut p = PowerMap::zeros(&model);
-            p.add_block_power(&model, pm_layer, block, unit)?;
-            let t = model.steady_state_from(&p, prev.as_ref(), &mut ws)?;
-            proc_response.push(
-                t.layer_slice(pm_layer)
-                    .iter()
-                    .map(|x| x - ambient_c)
-                    .collect(),
-            );
-            dram_response.push(
-                t.layer_slice(bd_layer)
-                    .iter()
-                    .map(|x| x - ambient_c)
-                    .collect(),
-            );
-            prev = Some(t);
+        // One chain: its sources in order, each solve warm-started from
+        // the previous source's field (neighbouring blocks produce similar
+        // unit responses, so a chain converges in a fraction of the cold
+        // per-solve iteration count); the first source starts cold.
+        let run_chain = |(ws, field, p): &mut Kit,
+                         sources: &[Source<'_>],
+                         proc_rows: &mut [Vec<f64>],
+                         dram_rows: &mut [Vec<f64>]|
+         -> Result<Option<f64>> {
+            field.fill(model.ambient());
+            for ((src, pr), dr) in sources.iter().zip(proc_rows).zip(dram_rows) {
+                p.clear();
+                match *src {
+                    Source::Block(b) => p.add_block_power(&model, pm_layer, b, Watts::new(1.0))?,
+                    Source::Die(l) => p.add_uniform_layer_power(l, Watts::new(1.0)),
+                }
+                model.steady_state_in_place(p, field, ws)?;
+                for (row, layer) in [(pr, pm_layer), (dr, bd_layer)] {
+                    for (r, x) in row.iter_mut().zip(field.layer_slice(layer)) {
+                        *r = x - ambient_c;
+                    }
+                }
+            }
+            Ok((!sources.is_empty()).then(|| field.stats().residual))
+        };
+
+        // Chain k goes to task k mod tasks. A task runs its chains one
+        // after another through one kit (presized workspace, warm-start
+        // field, power map) allocated here on the calling thread, so the
+        // solves allocate nothing on the pool threads.
+        let tasks = CHAINS.min(rayon::current_num_threads());
+        let mut kits: Vec<Kit> = (0..tasks)
+            .map(|_| {
+                let field = TemperatureField::uniform(&model, model.ambient());
+                (model.workspace(), field, PowerMap::zeros(&model))
+            })
+            .collect();
+        let mut task_chains: Vec<Vec<_>> = (0..tasks).map(|_| Vec::new()).collect();
+        let (mut srcs, mut procs, mut drams) =
+            (&sources[..], &mut proc_response[..], &mut dram_response[..]);
+        for (k, outcome) in outcomes.iter_mut().enumerate() {
+            // Chain k covers sources [k n / CHAINS, (k + 1) n / CHAINS).
+            let len = (k + 1) * n / CHAINS - k * n / CHAINS;
+            let (src_k, src_rest) = srcs.split_at(len);
+            let (proc_k, proc_rest) = std::mem::take(&mut procs).split_at_mut(len);
+            let (dram_k, dram_rest) = std::mem::take(&mut drams).split_at_mut(len);
+            (srcs, procs, drams) = (src_rest, proc_rest, dram_rest);
+            task_chains[k % tasks].push((src_k, proc_k, dram_k, outcome));
         }
-        for &die_layer in built.dram_metal_layers() {
-            let mut p = PowerMap::zeros(&model);
-            p.add_uniform_layer_power(die_layer, unit);
-            let t = model.steady_state_from(&p, prev.as_ref(), &mut ws)?;
-            proc_response.push(
-                t.layer_slice(pm_layer)
-                    .iter()
-                    .map(|x| x - ambient_c)
-                    .collect(),
-            );
-            dram_response.push(
-                t.layer_slice(bd_layer)
-                    .iter()
-                    .map(|x| x - ambient_c)
-                    .collect(),
-            );
-            prev = Some(t);
+        // The solve deadline is thread-local; each task re-installs the
+        // caller's on the pool thread it runs on.
+        let deadline = DeadlineGuard::current();
+        rayon::scope(|s| {
+            for (kit, chains) in kits.iter_mut().zip(task_chains) {
+                let run_chain = &run_chain;
+                s.spawn(move |_| {
+                    let _deadline = deadline.map(DeadlineGuard::install);
+                    for (sources, proc_rows, dram_rows, outcome) in chains {
+                        *outcome = run_chain(kit, sources, proc_rows, dram_rows);
+                    }
+                });
+            }
+        });
+        // First failure in chain order, so the error does not depend on
+        // which chain finished first.
+        let mut last_residual = None;
+        for outcome in outcomes {
+            last_residual = outcome?.or(last_residual);
+        }
+        // Each solve publishes its residual as it finishes, so after the
+        // join the gauge holds whichever chain ended last; re-publish the
+        // last source's, which is what a serial build leaves behind.
+        if let Some(r) = last_residual {
+            xylem_obs::set_gauge(xylem_obs::Gauge::LastResidual, r);
         }
 
         // Core cell sets for per-core hotspot queries.
@@ -182,7 +257,10 @@ impl ThermalResponse {
     // v3: CSR solver core with AMG preconditioning and warm-started
     // unit solves — numerically equivalent within tolerance, but not
     // bit-identical to v2 fields.
-    const CACHE_VERSION: u32 = 3;
+    // v4: unit solves split into `CHAINS` fixed contiguous warm-start
+    // chains (each chain's first source cold-starts) — equivalent
+    // within tolerance, not bit-identical to the single v3 chain.
+    const CACHE_VERSION: u32 = 4;
 
     fn cache_path(dir: &Path, built: &BuiltStack, grid: GridSpec) -> PathBuf {
         let mut h = DefaultHasher::new();

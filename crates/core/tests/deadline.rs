@@ -7,12 +7,13 @@
 //! nothing about the result.
 
 use xylem::dtm::{dtm_transient, dtm_transient_configured, DtmPolicy, DtmRunConfig};
+use xylem::response::ThermalResponse;
 use xylem::system::{SystemConfig, XylemSystem};
 use xylem::XylemError;
-use xylem_stack::XylemScheme;
+use xylem_stack::{StackConfig, XylemScheme};
 use xylem_thermal::grid::GridSpec;
 use xylem_thermal::units::Celsius;
-use xylem_thermal::ThermalError;
+use xylem_thermal::{DeadlineGuard, ThermalError};
 use xylem_workloads::Benchmark;
 
 const GRID: usize = 12;
@@ -86,4 +87,21 @@ fn generous_deadline_matches_unbounded_run() {
         assert_eq!(a.f_ghz.to_bits(), b.f_ghz.to_bits());
     }
     assert_eq!(unbounded.final_f_ghz, bounded.final_f_ghz);
+}
+
+#[test]
+fn expired_guard_aborts_the_response_build() {
+    // The unit solves run as chain tasks on pool threads; each must
+    // inherit the caller's thread-local deadline, or the build would
+    // ignore it and run to completion.
+    let built = StackConfig::paper_default(XylemScheme::Base)
+        .build()
+        .unwrap();
+    let _deadline = DeadlineGuard::install(std::time::Instant::now());
+    let err = ThermalResponse::compute(&built, GridSpec::new(GRID, GRID))
+        .expect_err("a deadline already in the past must abort the build");
+    match err {
+        XylemError::Thermal(ThermalError::DeadlineExceeded { .. }) => {}
+        other => panic!("expected DeadlineExceeded, got {other}"),
+    }
 }

@@ -17,6 +17,11 @@
 //! finest-level parallel matvec — stays inside the determinism digest
 //! even if the default pick ever changes.
 //!
+//! The unit-response build is locked too: its 91 unit solves run as
+//! fixed warm-start chains spread over the pool, so the 4-thread child
+//! finishes them in a different order than the 1-thread child, and
+//! every response bit, counter and gauge must still agree.
+//!
 //! This is the lock on xylem-obs design rule 2 (counters count
 //! deterministic quantities, never wall-clock) and on the solver's
 //! deterministic parallel reductions.
@@ -25,10 +30,11 @@ use std::fmt::Write as _;
 use std::process::Command;
 
 use xylem::dtm::{dtm_transient_configured, DtmPolicy, DtmRunConfig};
+use xylem::response::ThermalResponse;
 use xylem::sensor::{FaultKind, SensorFault, SensorModel};
 use xylem::system::{SystemConfig, XylemSystem};
 use xylem_obs::fnv1a;
-use xylem_stack::XylemScheme;
+use xylem_stack::{StackConfig, XylemScheme};
 use xylem_sweep::{run_sweep, SweepOptions, SweepSpec};
 use xylem_thermal::grid::GridSpec;
 use xylem_thermal::solve::{PreconditionerKind, SolverOptions};
@@ -149,9 +155,43 @@ fn run_scenario_child(out_path: &str) {
     std::fs::write(out_path, text).expect("child writes digest");
 }
 
+/// Child body for the response digest pair: one uncached
+/// `ThermalResponse::compute` at 32x32, digested over its serialized
+/// form (every response value, round-trip exact) plus every counter and
+/// gauge. `last_residual` is last-writer-wins, so the gauge line checks
+/// that the build publishes the last source's residual however the
+/// chains were scheduled.
+fn run_response_child(out_path: &str) {
+    let built = StackConfig::paper_default(XylemScheme::BankEnhanced)
+        .build()
+        .expect("stack builds");
+    let r = ThermalResponse::compute(&built, GridSpec::new(GRID, GRID)).expect("response builds");
+    let json = serde_json::to_vec(&r).expect("response serializes");
+
+    let mut text = String::new();
+    let _ = writeln!(
+        text,
+        "sources={} bytes={} digest={:016x}",
+        r.proc_blocks().len() + r.n_dram_dies(),
+        json.len(),
+        fnv1a(&json)
+    );
+    for (label, value) in xylem_obs::counters_snapshot() {
+        let _ = writeln!(text, "counter {label}={value}");
+    }
+    for (label, value) in xylem_obs::gauges_snapshot() {
+        let _ = writeln!(text, "gauge {label}={:016x}", value.to_bits());
+    }
+    std::fs::write(out_path, text).expect("child writes digest");
+}
+
 fn run_child(tag: &str, out_path: &str) {
     if tag == "sweep" {
         run_sweep_child(out_path);
+        return;
+    }
+    if tag == "response" {
+        run_response_child(out_path);
         return;
     }
     if tag == "scenario" {
@@ -291,6 +331,14 @@ fn dtm_run_is_bit_identical_across_thread_counts() {
 #[test]
 fn gmg_run_is_bit_identical_across_thread_counts() {
     run_pair("gmg_run_is_bit_identical_across_thread_counts", "gmg");
+}
+
+#[test]
+fn response_build_is_bit_identical_across_thread_counts() {
+    run_pair(
+        "response_build_is_bit_identical_across_thread_counts",
+        "response",
+    );
 }
 
 #[test]

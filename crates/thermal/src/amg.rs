@@ -25,8 +25,12 @@
 //! [`crate::model::ThermalModel`] it cuts CG iteration counts by
 //! roughly an order of magnitude relative to Jacobi at an apply cost
 //! of a few fine-grid matvecs.
-
-use std::sync::Mutex;
+//!
+//! The hierarchy is immutable after [`AmgHierarchy::build`]: every
+//! per-level vector a cycle writes lives in a caller-owned
+//! [`CycleScratch`] (held by [`crate::SolverWorkspace`]), so any number
+//! of threads may apply one shared hierarchy at once without locking,
+//! and a panic mid-cycle leaves nothing behind for the next caller.
 
 use crate::csr::CsrMatrix;
 
@@ -124,36 +128,64 @@ struct AmgLevel {
     coarse_a: CsrMatrix,
 }
 
-/// Per-apply scratch vectors, one set per level plus the coarsest.
-#[derive(Debug, Default)]
-struct Scratch {
-    /// Residual / correction workspace per level (fine-level sized).
-    tmp: Vec<Vec<f64>>,
-    /// Right-hand side per level below the finest.
-    rhs: Vec<Vec<f64>>,
-    /// Solution per level below the finest.
-    sol: Vec<Vec<f64>>,
+/// One level's V-cycle vectors. Every entry is overwritten before it is
+/// read, so only the lengths carry over from one cycle to the next.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LevelScratch {
+    /// Residual workspace (fine-level sized).
+    pub(crate) tmp: Vec<f64>,
+    /// Smoother output (fine-level sized; geometric cycle only).
+    pub(crate) cor: Vec<f64>,
+    /// Restricted right-hand side (coarse-level sized).
+    pub(crate) rhs: Vec<f64>,
+    /// Coarse-grid correction (coarse-level sized).
+    pub(crate) sol: Vec<f64>,
+}
+
+/// Caller-owned V-cycle scratch for [`AmgHierarchy`] and
+/// [`crate::gmg::GmgHierarchy`], one `LevelScratch` per level above
+/// the dense coarsest one. It fits itself to whichever hierarchy applies
+/// it, so one scratch may serve several hierarchies in turn (a fallback
+/// rung, a transient operator) at the cost of a resize on each switch.
+#[derive(Debug, Clone, Default)]
+pub struct CycleScratch {
+    levels: Vec<LevelScratch>,
+}
+
+impl CycleScratch {
+    /// An empty scratch; sized on first apply.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Sizes the scratch for a hierarchy whose levels have the given
+    /// `(fine, coarse)` node counts (`cor` only when `smoother_out`), and
+    /// returns the per-level slots. Lengths that already match cost one
+    /// comparison each.
+    pub(crate) fn fit(
+        &mut self,
+        dims: impl ExactSizeIterator<Item = (usize, usize)>,
+        smoother_out: bool,
+    ) -> &mut [LevelScratch] {
+        self.levels.resize_with(dims.len(), LevelScratch::default);
+        for (s, (n, nc)) in self.levels.iter_mut().zip(dims) {
+            s.tmp.resize(n, 0.0);
+            if smoother_out {
+                s.cor.resize(n, 0.0);
+            }
+            s.rhs.resize(nc, 0.0);
+            s.sol.resize(nc, 0.0);
+        }
+        &mut self.levels
+    }
 }
 
 /// Aggregation AMG hierarchy built from a fine-level [`CsrMatrix`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct AmgHierarchy {
     levels: Vec<AmgLevel>,
     coarse: DenseChol,
-    /// Scratch is interior-mutable so `apply` can take `&self` like
-    /// the other preconditioners; the solver never applies a
-    /// preconditioner concurrently with itself.
-    scratch: Mutex<Scratch>,
-}
-
-impl Clone for AmgHierarchy {
-    fn clone(&self) -> Self {
-        AmgHierarchy {
-            levels: self.levels.clone(),
-            coarse: self.coarse.clone(),
-            scratch: Mutex::new(Scratch::default()),
-        }
-    }
 }
 
 /// Greedy pairwise matching along the strongest negative off-diagonal
@@ -244,48 +276,49 @@ impl AmgHierarchy {
             });
         }
         let coarse = DenseChol::factor(levels.last().map_or(a, |l| &l.coarse_a));
-        AmgHierarchy {
-            levels,
-            coarse,
-            scratch: Mutex::new(Scratch::default()),
-        }
+        AmgHierarchy { levels, coarse }
     }
 
-    /// Applies one symmetric V(1,1) cycle: `z ≈ A^-1 r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the internal scratch mutex is poisoned (a prior apply
-    /// panicked mid-cycle).
-    pub fn apply(&self, a: &CsrMatrix, r: &[f64], z: &mut [f64]) {
-        let mut scratch = self.scratch.lock().expect("amg scratch poisoned");
-        let s = &mut *scratch;
-        // (Re)size scratch lazily.
-        if s.tmp.len() != self.levels.len() + 1 {
-            s.tmp.clear();
-            s.rhs.clear();
-            s.sol.clear();
-            let mut n = a.n();
-            for lvl in &self.levels {
-                s.tmp.push(vec![0.0; n]);
-                n = lvl.coarse_a.n();
-                s.rhs.push(vec![0.0; n]);
-                s.sol.push(vec![0.0; n]);
-            }
-            s.tmp.push(vec![0.0; n]);
-        }
+    /// Applies one symmetric V(1,1) cycle: `z ≈ A^-1 r`, with every
+    /// intermediate vector in `scratch`.
+    pub fn apply(&self, a: &CsrMatrix, r: &[f64], z: &mut [f64], scratch: &mut CycleScratch) {
+        let s = self.fit_scratch(a, scratch);
         self.cycle(0, a, r, z, s);
     }
 
-    /// Recursive V-cycle on level `lvl`; `a` is that level's operator.
-    fn cycle(&self, lvl: usize, a: &CsrMatrix, r: &[f64], z: &mut [f64], s: &mut Scratch) {
-        if lvl == self.levels.len() {
+    /// Sizes `scratch` for a cycle on `a` (the finest operator).
+    pub(crate) fn fit_scratch<'s>(
+        &self,
+        a: &CsrMatrix,
+        scratch: &'s mut CycleScratch,
+    ) -> &'s mut [LevelScratch] {
+        let mut n = a.n();
+        let dims = self.levels.iter().map(|lvl| {
+            let fine = n;
+            n = lvl.coarse_a.n();
+            (fine, n)
+        });
+        scratch.fit(dims, false)
+    }
+
+    /// Recursive V-cycle on level `lvl`; `a` is that level's operator
+    /// and `scratch` holds the slots of `lvl` and every level below it.
+    fn cycle(
+        &self,
+        lvl: usize,
+        a: &CsrMatrix,
+        r: &[f64],
+        z: &mut [f64],
+        scratch: &mut [LevelScratch],
+    ) {
+        let Some((s, below)) = scratch.split_first_mut() else {
             z.copy_from_slice(r);
             self.coarse.solve(z);
             return;
-        }
+        };
         let level = &self.levels[lvl];
         let n = a.n();
+        let LevelScratch { tmp, rhs, sol, .. } = s;
 
         // Pre-smooth from zero: z = omega * D^-1 r.
         for i in 0..n {
@@ -293,18 +326,13 @@ impl AmgHierarchy {
         }
 
         // Residual tmp = r - A z, restricted onto aggregates.
-        let (mut tmp, mut rhs, mut sol) = (
-            std::mem::take(&mut s.tmp[lvl]),
-            std::mem::take(&mut s.rhs[lvl]),
-            std::mem::take(&mut s.sol[lvl]),
-        );
-        a.matvec_serial(z, &mut tmp);
+        a.matvec_serial(z, tmp);
         rhs.iter_mut().for_each(|v| *v = 0.0);
         for i in 0..n {
             rhs[level.agg[i] as usize] += r[i] - tmp[i];
         }
 
-        self.cycle(lvl + 1, &level.coarse_a, &rhs, &mut sol, s);
+        self.cycle(lvl + 1, &level.coarse_a, rhs, sol, below);
 
         // Prolong with over-correction.
         for i in 0..n {
@@ -312,14 +340,10 @@ impl AmgHierarchy {
         }
 
         // Post-smooth: z += omega * D^-1 (r - A z).
-        a.matvec_serial(z, &mut tmp);
+        a.matvec_serial(z, tmp);
         for i in 0..n {
             z[i] += SMOOTH_OMEGA * level.inv_diag[i] * (r[i] - tmp[i]);
         }
-
-        s.tmp[lvl] = tmp;
-        s.rhs[lvl] = rhs;
-        s.sol[lvl] = sol;
     }
 
     /// Number of levels including the dense-solved coarsest one.
@@ -400,7 +424,7 @@ mod tests {
         assert_eq!(h.num_levels(), 1);
         let b: Vec<f64> = (0..10).map(|i| (i as f64) * 0.3 + 1.0).collect();
         let mut z = vec![0.0; 10];
-        h.apply(&a, &b, &mut z);
+        h.apply(&a, &b, &mut z, &mut CycleScratch::new());
         // Single-level hierarchy = exact solve.
         let mut az = vec![0.0; 10];
         a.matvec_serial(&z, &mut az);
@@ -425,8 +449,9 @@ mod tests {
         let norm0: f64 = r.iter().map(|v| v * v).sum::<f64>().sqrt();
         let mut z = vec![0.0; n];
         let mut ax = vec![0.0; n];
+        let mut scratch = CycleScratch::new();
         for _ in 0..30 {
-            h.apply(&a, &r, &mut z);
+            h.apply(&a, &r, &mut z, &mut scratch);
             for i in 0..n {
                 x[i] += z[i];
             }

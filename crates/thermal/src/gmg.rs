@@ -36,10 +36,12 @@
 //! factorization is O(n); apply trades the point-Jacobi sweeps for
 //! tridiagonal solves at the same memory traffic. The win criterion
 //! (BENCH_thermal.json) is setup+apply beating AMG at 64x64 and up.
+//!
+//! Like [`crate::amg`], the hierarchy is immutable once built: a cycle
+//! writes only `z` and the caller-owned [`CycleScratch`], so concurrent
+//! solves on one shared model apply it without locking.
 
-use std::sync::Mutex;
-
-use crate::amg::{galerkin, DenseChol};
+use crate::amg::{galerkin, CycleScratch, DenseChol, LevelScratch};
 use crate::csr::CsrMatrix;
 
 /// Damping for the z-line block-Jacobi smoother. Block smoothers
@@ -86,41 +88,13 @@ struct GmgLevel {
     coarse_a: CsrMatrix,
 }
 
-/// Per-apply scratch vectors, one set per level.
-#[derive(Debug, Default)]
-struct Scratch {
-    /// Residual workspace per level (fine-level sized).
-    tmp: Vec<Vec<f64>>,
-    /// Smoother output per level (fine-level sized).
-    cor: Vec<Vec<f64>>,
-    /// Restricted right-hand side per level below the finest.
-    rhs: Vec<Vec<f64>>,
-    /// Coarse solution per level below the finest.
-    sol: Vec<Vec<f64>>,
-}
-
 /// Geometric multigrid hierarchy over the structured stack grid.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct GmgHierarchy {
     /// Number of z-layers, constant across levels.
     nl: usize,
     levels: Vec<GmgLevel>,
     coarse: DenseChol,
-    /// Interior-mutable so `apply` can take `&self` like the other
-    /// preconditioners; the solver never applies one concurrently with
-    /// itself.
-    scratch: Mutex<Scratch>,
-}
-
-impl Clone for GmgHierarchy {
-    fn clone(&self) -> Self {
-        GmgHierarchy {
-            nl: self.nl,
-            levels: self.levels.clone(),
-            coarse: self.coarse.clone(),
-            scratch: Mutex::new(Scratch::default()),
-        }
-    }
 }
 
 /// Factors every z-line tridiagonal block of `a` (dims `nx x ny`, `nl`
@@ -255,59 +229,41 @@ impl GmgHierarchy {
             lny = cny;
         }
         let coarse = DenseChol::factor(levels.last().map_or(a, |l| &l.coarse_a));
-        Some(GmgHierarchy {
-            nl,
-            levels,
-            coarse,
-            scratch: Mutex::new(Scratch::default()),
-        })
+        Some(GmgHierarchy { nl, levels, coarse })
     }
 
-    /// Applies one symmetric V(1,1) cycle: `z ≈ A^-1 r`. `a` must be
-    /// the matrix the hierarchy was built from (the finest operator).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the internal scratch mutex is poisoned (a prior apply
-    /// panicked mid-cycle).
-    pub fn apply(&self, a: &CsrMatrix, r: &[f64], z: &mut [f64]) {
-        let mut scratch = self.scratch.lock().expect("gmg scratch poisoned");
-        let s = &mut *scratch;
-        if s.tmp.len() != self.levels.len() + 1 {
-            s.tmp.clear();
-            s.cor.clear();
-            s.rhs.clear();
-            s.sol.clear();
-            let mut n = a.n();
-            for lvl in &self.levels {
-                s.tmp.push(vec![0.0; n]);
-                s.cor.push(vec![0.0; n]);
-                n = lvl.coarse_a.n();
-                s.rhs.push(vec![0.0; n]);
-                s.sol.push(vec![0.0; n]);
-            }
-            s.tmp.push(vec![0.0; n]);
-            s.cor.push(vec![0.0; n]);
-        }
+    /// Applies one symmetric V(1,1) cycle: `z ≈ A^-1 r`, with every
+    /// intermediate vector in `scratch`. `a` must be the matrix the
+    /// hierarchy was built from (the finest operator).
+    pub fn apply(&self, a: &CsrMatrix, r: &[f64], z: &mut [f64], scratch: &mut CycleScratch) {
+        let s = self.fit_scratch(scratch);
         self.cycle(0, a, r, z, s);
     }
 
-    /// Recursive V-cycle on level `lvl`; `a` is that level's operator.
-    fn cycle(&self, lvl: usize, a: &CsrMatrix, r: &[f64], z: &mut [f64], s: &mut Scratch) {
-        if lvl == self.levels.len() {
+    /// Sizes `scratch` for a cycle of this hierarchy.
+    pub(crate) fn fit_scratch<'s>(&self, scratch: &'s mut CycleScratch) -> &'s mut [LevelScratch] {
+        let dims = self.levels.iter().map(|lvl| (lvl.n, lvl.coarse_a.n()));
+        scratch.fit(dims, true)
+    }
+
+    /// Recursive V-cycle on level `lvl`; `a` is that level's operator
+    /// and `scratch` holds the slots of `lvl` and every level below it.
+    fn cycle(
+        &self,
+        lvl: usize,
+        a: &CsrMatrix,
+        r: &[f64],
+        z: &mut [f64],
+        scratch: &mut [LevelScratch],
+    ) {
+        let Some((s, below)) = scratch.split_first_mut() else {
             z.copy_from_slice(r);
             self.coarse.solve(z);
             return;
-        }
+        };
         let level = &self.levels[lvl];
         let n = level.n;
-
-        let (mut tmp, mut cor, mut rhs, mut sol) = (
-            std::mem::take(&mut s.tmp[lvl]),
-            std::mem::take(&mut s.cor[lvl]),
-            std::mem::take(&mut s.rhs[lvl]),
-            std::mem::take(&mut s.sol[lvl]),
-        );
+        let LevelScratch { tmp, cor, rhs, sol } = s;
 
         // Pre-smooth from zero: z = omega * M^-1 r.
         level.block_solve(self.nl, r, z);
@@ -319,13 +275,13 @@ impl GmgHierarchy {
         // parallelizes on the finest level when large enough; it is
         // bitwise identical to the serial sweep, and the restriction
         // itself runs in fixed fine-node order.
-        a.matvec(z, &mut tmp);
+        a.matvec(z, tmp);
         rhs.iter_mut().for_each(|v| *v = 0.0);
         for i in 0..n {
             rhs[level.agg[i] as usize] += r[i] - tmp[i];
         }
 
-        self.cycle(lvl + 1, &level.coarse_a, &rhs, &mut sol, s);
+        self.cycle(lvl + 1, &level.coarse_a, rhs, sol, below);
 
         // Prolong with over-correction.
         for i in 0..n {
@@ -333,19 +289,14 @@ impl GmgHierarchy {
         }
 
         // Post-smooth: z += omega * M^-1 (r - A z).
-        a.matvec(z, &mut tmp);
+        a.matvec(z, tmp);
         for i in 0..n {
             tmp[i] = r[i] - tmp[i];
         }
-        level.block_solve(self.nl, &tmp, &mut cor);
+        level.block_solve(self.nl, tmp, cor);
         for i in 0..n {
             z[i] += SMOOTH_OMEGA * cor[i];
         }
-
-        s.tmp[lvl] = tmp;
-        s.cor[lvl] = cor;
-        s.rhs[lvl] = rhs;
-        s.sol[lvl] = sol;
     }
 
     /// Number of levels including the dense-solved coarsest one.
@@ -414,7 +365,7 @@ mod tests {
         assert_eq!(h.num_levels(), 1);
         let b: Vec<f64> = (0..a.n()).map(|i| (i as f64) * 0.1 + 1.0).collect();
         let mut z = vec![0.0; a.n()];
-        h.apply(&a, &b, &mut z);
+        h.apply(&a, &b, &mut z, &mut CycleScratch::new());
         let mut az = vec![0.0; a.n()];
         a.matvec_serial(&z, &mut az);
         for (got, want) in az.iter().zip(&b) {
@@ -488,8 +439,9 @@ mod tests {
         let norm0: f64 = r.iter().map(|v| v * v).sum::<f64>().sqrt();
         let mut z = vec![0.0; n];
         let mut ax = vec![0.0; n];
+        let mut scratch = CycleScratch::new();
         for _ in 0..40 {
-            h.apply(&a, &r, &mut z);
+            h.apply(&a, &r, &mut z, &mut scratch);
             for i in 0..n {
                 x[i] += z[i];
             }

@@ -608,43 +608,64 @@ impl ThermalModel {
         guess: Option<&TemperatureField>,
         ws: &mut SolverWorkspace,
     ) -> Result<TemperatureField, ThermalError> {
+        let mut field = match guess {
+            Some(g) => TemperatureField::new(
+                self,
+                g.raw().to_vec(),
+                SolveStats::default(),
+                RecoveryReport::default(),
+            ),
+            None => TemperatureField::uniform(self, self.ambient()),
+        };
+        self.steady_state_in_place(power, &mut field, ws)?;
+        Ok(field)
+    }
+
+    /// [`ThermalModel::steady_state_from`] without the new field: `field`
+    /// (from this model) seeds CG and receives the solution and its solve
+    /// statistics. With a workspace from [`ThermalModel::workspace`] a
+    /// chain of such solves allocates nothing at all.
+    ///
+    /// # Errors
+    ///
+    /// As [`ThermalModel::steady_state_from`]; on error `field` holds an
+    /// unspecified iterate.
+    pub fn steady_state_in_place(
+        &self,
+        power: &PowerMap,
+        field: &mut TemperatureField,
+        ws: &mut SolverWorkspace,
+    ) -> Result<(), ThermalError> {
         let n = self.node_count();
         let mut rhs = std::mem::take(&mut ws.rhs);
+        let (x, stats, recovery) = field.solve_slots();
         let result = (|| -> Result<_, ThermalError> {
             self.assemble_rhs_into(power, &mut rhs)?;
-            let mut x = match guess {
-                Some(g) => {
-                    if g.node_count() != n {
-                        return Err(ThermalError::PowerMapMismatch {
-                            map_nodes: g.node_count(),
-                            model_nodes: n,
-                        });
-                    }
-                    g.raw().to_vec()
-                }
-                None => vec![self.ambient; n],
-            };
-            let mut recovery = RecoveryReport::default();
-            let stats = solve_cg_resilient_with(
+            if x.len() != n {
+                return Err(ThermalError::PowerMapMismatch {
+                    map_nodes: x.len(),
+                    model_nodes: n,
+                });
+            }
+            *recovery = RecoveryReport::default();
+            solve_cg_resilient_with(
                 self.operator(),
                 &self.prec,
                 &rhs,
-                &mut x,
+                x,
                 ws,
                 &self.solver_options,
-                &mut recovery,
-            )?;
-            Ok((x, stats, recovery))
+                recovery,
+            )
         })();
         ws.rhs = rhs;
-        let (x, stats, recovery) = result?;
-        let temps = TemperatureField::new(self, x, stats, recovery);
-        debug_check_solution(&stats, &self.solver_options, temps.raw());
+        *stats = result?;
+        debug_check_solution(stats, &self.solver_options, x);
         #[cfg(debug_assertions)]
         {
             // Energy conservation: at steady state all injected power must
             // leave through the ambient paths.
-            let balance = self.ambient_outflow(&temps) - power.total();
+            let balance = self.ambient_outflow(field) - power.total();
             let scale = power.total().get().abs().max(1.0);
             debug_assert!(
                 balance.abs() <= 1e-3 * scale,
@@ -652,7 +673,17 @@ impl ThermalModel {
                 power.total()
             );
         }
-        Ok(temps)
+        Ok(())
+    }
+
+    /// A workspace already sized for this model's steady solves (CG
+    /// vectors, V-cycle scratch, right-hand-side staging), so none of
+    /// them allocates. Its memory comes from the calling thread, which
+    /// matters when the solves then run on other threads: their
+    /// allocator arenas never hold it.
+    #[must_use]
+    pub fn workspace(&self) -> SolverWorkspace {
+        SolverWorkspace::sized_for(&self.csr, &self.prec)
     }
 
     /// The seed's steady-state path — Jacobi CG over the adjacency-list

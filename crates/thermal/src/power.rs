@@ -31,6 +31,11 @@ impl PowerMap {
         }
     }
 
+    /// Sets every entry back to zero, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.data.fill(0.0);
+    }
+
     /// Number of user layers.
     pub fn n_layers(&self) -> usize {
         self.n_layers

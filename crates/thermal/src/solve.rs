@@ -57,6 +57,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::amg::CycleScratch;
 use crate::csr::{CsrMatrix, PAR_MIN_ROWS, ROW_CHUNK};
 use crate::error::ThermalError;
 use crate::reduce::{dot_chunked, fused_p_update, fused_xr_update, reduce_pairwise};
@@ -179,6 +180,14 @@ impl DeadlineGuard {
     pub fn active() -> bool {
         SOLVE_DEADLINE.with(|d| d.get().is_some())
     }
+
+    /// The deadline installed on this thread, if any. Work fanned out to
+    /// other threads carries it along and re-installs it there, so the
+    /// caller's deadline bounds every solve it started.
+    #[must_use]
+    pub fn current() -> Option<std::time::Instant> {
+        SOLVE_DEADLINE.with(std::cell::Cell::get)
+    }
 }
 
 impl Drop for DeadlineGuard {
@@ -283,7 +292,9 @@ pub struct SolveStats {
 /// Reusable solver buffers. Owned by the caller so repeated solves
 /// (steady-state sweeps, transient stepping) allocate nothing per solve:
 /// buffers grow to the model's node count on first use and are reused
-/// verbatim afterwards.
+/// verbatim afterwards. This includes the multigrid V-cycle scratch, so
+/// a built [`Preconditioner`] is read-only during a solve and threads
+/// with one workspace each may solve on one shared model at once.
 ///
 /// The `rhs`/`rhs0` staging buffers are for *callers* assembling
 /// right-hand sides ([`solve_cg`] itself never touches them); take them
@@ -309,6 +320,8 @@ pub struct SolverWorkspace {
     pub x_half: Vec<f64>,
     /// Entry-iterate backup for [`solve_cg_resilient`] cold restarts.
     x0: Vec<f64>,
+    /// Per-level V-cycle vectors for the multigrid preconditioners.
+    mg: CycleScratch,
 }
 
 impl SolverWorkspace {
@@ -316,6 +329,28 @@ impl SolverWorkspace {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A workspace whose buffers (and the `rhs` staging buffer) already
+    /// have their final sizes for solves on `a` with `prec`, so no solve
+    /// through it allocates — not even the first. The memory comes from
+    /// the calling thread's allocator, wherever the solves later run.
+    pub(crate) fn sized_for(a: &CsrMatrix, prec: &Preconditioner) -> Self {
+        let n = a.n();
+        let mut ws = Self::new();
+        ws.resize(n);
+        ws.rhs.reserve_exact(n);
+        ws.x0.reserve_exact(n);
+        match prec {
+            Preconditioner::Amg(h) => {
+                h.fit_scratch(a, &mut ws.mg);
+            }
+            Preconditioner::Gmg(h) => {
+                h.fit_scratch(&mut ws.mg);
+            }
+            _ => {}
+        }
+        ws
     }
 
     fn resize(&mut self, n: usize) {
@@ -424,16 +459,31 @@ impl Preconditioner {
     }
 
     /// `z = M^-1 r` as a standalone call — benchmark/diagnostic entry
-    /// point for measuring preconditioner apply cost in isolation.
+    /// point for measuring preconditioner apply cost in isolation. The
+    /// V-cycle scratch is kept per calling thread, so repeated calls
+    /// time the cycle, not its allocation.
     #[doc(hidden)]
     pub fn apply_timed(&self, a: &CsrMatrix, r: &[f64], z: &mut [f64]) {
+        std::thread_local! {
+            static SCRATCH: std::cell::RefCell<CycleScratch> =
+                std::cell::RefCell::new(CycleScratch::new());
+        }
         let mut partials = vec![0.0; r.len().div_ceil(ROW_CHUNK)];
-        let _ = self.apply(a, r, z, &mut partials);
+        SCRATCH.with_borrow_mut(|mg| {
+            let _ = self.apply(a, r, z, &mut partials, mg);
+        });
     }
 
     /// `z = M^-1 r`. Returns `dot(r, z)` (deterministically chunked)
     /// when it falls out of the pass for free (Jacobi), else `None`.
-    fn apply(&self, a: &CsrMatrix, r: &[f64], z: &mut [f64], partials: &mut [f64]) -> Option<f64> {
+    fn apply(
+        &self,
+        a: &CsrMatrix,
+        r: &[f64],
+        z: &mut [f64],
+        partials: &mut [f64],
+        mg: &mut CycleScratch,
+    ) -> Option<f64> {
         match self {
             Preconditioner::Jacobi { inv_diag } => {
                 // Fused: z = D^-1 r and rz = dot(r, z) in one pass.
@@ -487,11 +537,11 @@ impl Preconditioner {
                 None
             }
             Preconditioner::Amg(h) => {
-                h.apply(a, r, z);
+                h.apply(a, r, z, mg);
                 None
             }
             Preconditioner::Gmg(h) => {
-                h.apply(a, r, z);
+                h.apply(a, r, z, mg);
                 None
             }
         }
@@ -811,7 +861,7 @@ fn solve_cg_raw(
         *ri = bi - *ri;
     }
     let mut rr = dot_chunked(&ws.r, &ws.r, &mut ws.partials, par);
-    let mut rz = match prec.apply(a, &ws.r, &mut ws.z, &mut ws.partials) {
+    let mut rz = match prec.apply(a, &ws.r, &mut ws.z, &mut ws.partials, &mut ws.mg) {
         Some(rz) => rz,
         None => dot_chunked(&ws.r, &ws.z, &mut ws.partials, par),
     };
@@ -845,7 +895,7 @@ fn solve_cg_raw(
         }
         let alpha = rz / pap;
         rr = fused_xr_update(x, &mut ws.r, &ws.p, &ws.ap, alpha, &mut ws.partials, par);
-        let rz_next = match prec.apply(a, &ws.r, &mut ws.z, &mut ws.partials) {
+        let rz_next = match prec.apply(a, &ws.r, &mut ws.z, &mut ws.partials, &mut ws.mg) {
             Some(rz) => rz,
             None => dot_chunked(&ws.r, &ws.z, &mut ws.partials, par),
         };

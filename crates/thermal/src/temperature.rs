@@ -53,6 +53,20 @@ impl TemperatureField {
         }
     }
 
+    /// Resets every node to `temperature` and clears the solve
+    /// statistics, keeping the allocation — a cold start for
+    /// [`ThermalModel::steady_state_in_place`].
+    pub fn fill(&mut self, temperature: Celsius) {
+        self.temps.fill(temperature.get());
+        self.stats = SolveStats::default();
+        self.recovery = RecoveryReport::default();
+    }
+
+    /// The node temperatures and solve record, for an in-place solve.
+    pub(crate) fn solve_slots(&mut self) -> (&mut [f64], &mut SolveStats, &mut RecoveryReport) {
+        (&mut self.temps, &mut self.stats, &mut self.recovery)
+    }
+
     /// Rebuilds a field from raw node temperatures — the checkpoint/resume
     /// restore path. Rejects a vector whose length does not match the
     /// model's node count, and any non-finite entry.
