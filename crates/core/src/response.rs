@@ -51,6 +51,13 @@ use crate::Result;
 /// long enough (11-12 sources) for warm starts to pay off.
 const CHAINS: usize = 8;
 
+/// The sources chain `k` of [`CHAINS`] solves, out of `n`: contiguous,
+/// in order, covering `0..n` once, with lengths that differ by at most
+/// one.
+fn chain_bounds(k: usize, n: usize) -> std::ops::Range<usize> {
+    k * n / CHAINS..(k + 1) * n / CHAINS
+}
+
 /// A task's solver state, reused by each chain it runs: workspace,
 /// warm-start field and unit power map.
 type Kit = (SolverWorkspace, TemperatureField, PowerMap);
@@ -158,8 +165,7 @@ impl ThermalResponse {
         let (mut srcs, mut procs, mut drams) =
             (&sources[..], &mut proc_response[..], &mut dram_response[..]);
         for (k, outcome) in outcomes.iter_mut().enumerate() {
-            // Chain k covers sources [k n / CHAINS, (k + 1) n / CHAINS).
-            let len = (k + 1) * n / CHAINS - k * n / CHAINS;
+            let len = chain_bounds(k, n).len();
             let (src_k, src_rest) = srcs.split_at(len);
             let (proc_k, proc_rest) = std::mem::take(&mut procs).split_at_mut(len);
             let (dram_k, dram_rest) = std::mem::take(&mut drams).split_at_mut(len);
@@ -419,6 +425,124 @@ mod tests {
         for c in 0..dram.len() {
             assert!((dram[c] - direct_dram[c]).abs() < 1e-4);
         }
+    }
+
+    #[test]
+    fn chains_cover_every_source_once_in_order() {
+        for n in [0, 1, 7, 8, 9, 16, 91, 1000] {
+            let mut next = 0;
+            for k in 0..CHAINS {
+                let r = chain_bounds(k, n);
+                assert_eq!(r.start, next, "n={n}: chain {k} is not contiguous");
+                next = r.end;
+            }
+            assert_eq!(next, n, "n={n}: chains miss the tail");
+        }
+    }
+
+    #[test]
+    fn chain_lengths_differ_by_at_most_one() {
+        for n in [5, 8, 13, 91, 92, 999] {
+            let lens: Vec<usize> = (0..CHAINS).map(|k| chain_bounds(k, n).len()).collect();
+            let (lo, hi) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
+            assert!(hi - lo <= 1, "n={n}: {lens:?}");
+        }
+        // The paper stack's 83 blocks + 8 dies: 11-12 sources per chain.
+        assert!((0..CHAINS).all(|k| (11..=12).contains(&chain_bounds(k, 91).len())));
+    }
+
+    #[test]
+    fn fewer_sources_than_chains_leave_some_chains_empty() {
+        let lens: Vec<usize> = (0..CHAINS).map(|k| chain_bounds(k, 3).len()).collect();
+        assert_eq!(lens.iter().sum::<usize>(), 3);
+        assert!(lens.iter().all(|&l| l <= 1));
+        assert_eq!(lens.iter().filter(|&&l| l == 0).count(), CHAINS - 3);
+    }
+
+    #[test]
+    fn rows_at_every_chain_seam_match_direct_solves() {
+        // Each chain writes into slots by source index; the first and
+        // last source of every chain must hold that source's own
+        // response, not a neighbouring chain's.
+        let built = StackConfig::paper_default(XylemScheme::BankEnhanced)
+            .build()
+            .unwrap();
+        let grid = GridSpec::new(16, 16);
+        let r = ThermalResponse::compute(&built, grid).unwrap();
+        let model = built.stack().discretize(grid).unwrap();
+        let pm = built.proc_metal_layer();
+        let n_blocks = r.proc_blocks().len();
+        let n = n_blocks + r.n_dram_dies();
+        let ambient = model.ambient().get();
+        let seams = (0..CHAINS).flat_map(|k| {
+            let b = chain_bounds(k, n);
+            [b.start, b.end - 1]
+        });
+        for src in seams {
+            let mut p = PowerMap::zeros(&model);
+            if src < n_blocks {
+                p.add_block_power(&model, pm, &r.proc_blocks()[src], Watts::new(1.0))
+                    .unwrap();
+            } else {
+                p.add_uniform_layer_power(
+                    built.dram_metal_layers()[src - n_blocks],
+                    Watts::new(1.0),
+                );
+            }
+            let direct = model.steady_state(&p).unwrap();
+            for (row, layer) in [
+                (&r.proc_response[src], pm),
+                (&r.dram_response[src], built.bottom_dram_metal_layer()),
+            ] {
+                for (got, want) in row.iter().zip(direct.layer_slice(layer)) {
+                    assert!(
+                        (got - (want - ambient)).abs() < 1e-4,
+                        "source {src}: {got} vs {}",
+                        want - ambient
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_builds_are_bit_identical() {
+        // Chains finish in whatever order the pool runs them; the table
+        // must not depend on it.
+        let built = StackConfig::paper_default(XylemScheme::Base)
+            .build()
+            .unwrap();
+        let grid = GridSpec::new(12, 12);
+        let bits = |r: &ThermalResponse| -> Vec<u64> {
+            r.proc_response
+                .iter()
+                .chain(&r.dram_response)
+                .flatten()
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        let first = bits(&ThermalResponse::compute(&built, grid).unwrap());
+        let second = bits(&ThermalResponse::compute(&built, grid).unwrap());
+        assert!(first == second, "two builds of one stack differ");
+    }
+
+    #[test]
+    fn build_inside_a_pool_task_matches_a_direct_build() {
+        // Opened from a pool worker, the build's chain tasks (and their
+        // kernels) run inline there: it must complete, with the same
+        // bits as a build from the calling thread.
+        let built = StackConfig::paper_default(XylemScheme::Base)
+            .build()
+            .unwrap();
+        let grid = GridSpec::new(12, 12);
+        let direct = ThermalResponse::compute(&built, grid).unwrap();
+        let mut nested = None;
+        rayon::scope(|s| {
+            s.spawn(|_| nested = Some(ThermalResponse::compute(&built, grid).unwrap()));
+        });
+        let nested = nested.expect("the pool task ran");
+        assert!(nested.proc_response == direct.proc_response);
+        assert!(nested.dram_response == direct.dram_response);
     }
 
     #[test]

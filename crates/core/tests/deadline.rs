@@ -105,3 +105,24 @@ fn expired_guard_aborts_the_response_build() {
         other => panic!("expected DeadlineExceeded, got {other}"),
     }
 }
+
+#[test]
+fn generous_guard_leaves_the_response_build_unchanged() {
+    // The chain tasks re-install the caller's deadline on the pool
+    // threads; a deadline that never expires must change no bit.
+    let built = StackConfig::paper_default(XylemScheme::Base)
+        .build()
+        .unwrap();
+    let grid = GridSpec::new(GRID, GRID);
+    let unbounded = ThermalResponse::compute(&built, grid).unwrap();
+    let far = std::time::Instant::now() + std::time::Duration::from_secs(3600);
+    let _deadline = DeadlineGuard::install(far);
+    let bounded = ThermalResponse::compute(&built, grid).unwrap();
+    // Every source contributes, so every row of both tables is read.
+    let procs: Vec<f64> = (0..83).map(|i| 0.1 + 0.01 * i as f64).collect();
+    let drams: Vec<f64> = (0..8).map(|i| 0.2 + 0.05 * i as f64).collect();
+    let (pa, da) = unbounded.temperatures(&procs, &drams).unwrap();
+    let (pb, db) = bounded.temperatures(&procs, &drams).unwrap();
+    assert!(pa.iter().zip(&pb).all(|(a, b)| a.to_bits() == b.to_bits()));
+    assert!(da.iter().zip(&db).all(|(a, b)| a.to_bits() == b.to_bits()));
+}

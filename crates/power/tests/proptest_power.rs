@@ -97,3 +97,34 @@ proptest! {
         prop_assert!(idle > 0.0); // leakage never disappears
     }
 }
+
+/// Every property above. The vendored `proptest!` adds no `#[test]` of
+/// its own, so a property written without one would silently never run.
+const PROPERTIES: &[&str] = &[
+    "blocks_nonnegative_and_sum",
+    "monotone_in_inputs",
+    "memory_intensity_preserves_core_total",
+    "idle_floor",
+];
+
+#[test]
+fn every_property_is_registered_exactly_once() {
+    let out = std::process::Command::new(std::env::current_exe().unwrap())
+        .arg("--list")
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "listing this test binary failed");
+    let listing = String::from_utf8(out.stdout).unwrap();
+    let mut names: Vec<&str> = listing
+        .lines()
+        .filter_map(|l| l.strip_suffix(": test"))
+        .collect();
+    for property in PROPERTIES {
+        let n = names.iter().filter(|&&name| name == *property).count();
+        assert_eq!(n, 1, "{property} is registered {n} times");
+    }
+    let listed = names.len();
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(names.len(), listed, "a test name is registered twice");
+}

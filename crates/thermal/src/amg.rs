@@ -434,6 +434,52 @@ mod tests {
     }
 
     #[test]
+    fn reused_scratch_applies_like_a_fresh_one() {
+        // The cycle overwrites every scratch slot before reading it, so
+        // a scratch left dirty by a different residual changes nothing.
+        let n = 2000;
+        let a = tridiag(n);
+        let h = AmgHierarchy::build(&a);
+        assert!(h.num_levels() > 2);
+        let r1: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.37).sin()).collect();
+        let r2: Vec<f64> = (0..n).map(|i| 1.0 + (i % 9) as f64).collect();
+        let mut scratch = CycleScratch::new();
+        let mut z = vec![0.0; n];
+        h.apply(&a, &r1, &mut z, &mut scratch);
+        h.apply(&a, &r2, &mut z, &mut scratch);
+        let mut z_fresh = vec![0.0; n];
+        h.apply(&a, &r2, &mut z_fresh, &mut CycleScratch::new());
+        assert!(z
+            .iter()
+            .zip(&z_fresh)
+            .all(|(p, q)| p.to_bits() == q.to_bits()));
+    }
+
+    #[test]
+    fn scratch_refits_when_the_hierarchy_changes() {
+        // One scratch serving a large hierarchy, then a smaller one,
+        // then the large one again: each apply matches a fresh scratch.
+        let (big, small) = (tridiag(3000), tridiag(500));
+        let (hb, hs) = (AmgHierarchy::build(&big), AmgHierarchy::build(&small));
+        assert_ne!(hb.num_levels(), hs.num_levels());
+        let rb: Vec<f64> = (0..3000).map(|i| ((i as f64) * 0.01).cos()).collect();
+        let rs: Vec<f64> = (0..500).map(|i| 2.0 - (i % 5) as f64 * 0.3).collect();
+        let fresh = |h: &AmgHierarchy, a: &CsrMatrix, r: &[f64]| {
+            let mut z = vec![0.0; r.len()];
+            h.apply(a, r, &mut z, &mut CycleScratch::new());
+            z
+        };
+        let mut scratch = CycleScratch::new();
+        for (h, a, r) in [(&hb, &big, &rb), (&hs, &small, &rs), (&hb, &big, &rb)] {
+            let mut z = vec![0.0; r.len()];
+            h.apply(a, r, &mut z, &mut scratch);
+            assert_eq!(scratch.levels.len(), h.num_levels() - 1);
+            let want = fresh(h, a, r);
+            assert!(z.iter().zip(&want).all(|(p, q)| p.to_bits() == q.to_bits()));
+        }
+    }
+
+    #[test]
     fn v_cycle_contracts_the_error() {
         // Richardson iteration with the V-cycle as the preconditioner
         // must contract on a large 1D problem.

@@ -457,6 +457,59 @@ mod tests {
         );
     }
 
+    fn apply_bits(
+        h: &GmgHierarchy,
+        a: &CsrMatrix,
+        r: &[f64],
+        scratch: &mut CycleScratch,
+    ) -> Vec<u64> {
+        let mut z = vec![0.0; r.len()];
+        h.apply(a, r, &mut z, scratch);
+        z.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn reused_scratch_applies_like_a_fresh_one() {
+        // Every slot, the post-smoother's correction included, is
+        // overwritten before it is read.
+        let (nx, ny, nl) = (24, 24, 5);
+        let a = stack_matrix(nx, ny, nl);
+        let h = GmgHierarchy::build(&a, nx, ny, nl).expect("build");
+        assert!(h.num_levels() > 2);
+        let n = a.n();
+        let r1: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.21).cos() * 3.0).collect();
+        let r2: Vec<f64> = (0..n).map(|i| 0.5 + (i % 11) as f64 * 0.2).collect();
+        let mut scratch = CycleScratch::new();
+        apply_bits(&h, &a, &r1, &mut scratch);
+        let reused = apply_bits(&h, &a, &r2, &mut scratch);
+        assert_eq!(reused, apply_bits(&h, &a, &r2, &mut CycleScratch::new()));
+    }
+
+    #[test]
+    fn scratch_shared_with_amg_applies_like_a_fresh_one() {
+        // A fallback rung may hand the same workspace from an AMG
+        // hierarchy (no correction slot) to a GMG one and back.
+        let (nx, ny, nl) = (24, 24, 5);
+        let a = stack_matrix(nx, ny, nl);
+        let gmg = GmgHierarchy::build(&a, nx, ny, nl).expect("build");
+        let amg = crate::amg::AmgHierarchy::build(&a);
+        let n = a.n();
+        let r: Vec<f64> = (0..n).map(|i| 1.0 + ((i as f64) * 0.05).sin()).collect();
+        let mut scratch = CycleScratch::new();
+        let mut z = vec![0.0; n];
+        amg.apply(&a, &r, &mut z, &mut scratch);
+        let shared = apply_bits(&gmg, &a, &r, &mut scratch);
+        assert_eq!(shared, apply_bits(&gmg, &a, &r, &mut CycleScratch::new()));
+        let mut z_shared = vec![0.0; n];
+        amg.apply(&a, &r, &mut z_shared, &mut scratch);
+        let mut z_fresh = vec![0.0; n];
+        amg.apply(&a, &r, &mut z_fresh, &mut CycleScratch::new());
+        assert!(z_shared
+            .iter()
+            .zip(&z_fresh)
+            .all(|(p, q)| p.to_bits() == q.to_bits()));
+    }
+
     #[test]
     fn mismatched_geometry_is_rejected() {
         let a = stack_matrix(4, 4, 2);

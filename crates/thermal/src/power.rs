@@ -203,6 +203,25 @@ mod tests {
     }
 
     #[test]
+    fn clear_zeroes_every_entry_and_keeps_the_shape() {
+        let m = model_with_blocks();
+        let mut p = PowerMap::zeros(&m);
+        p.add_block_power(&m, 0, "right", Watts::new(3.0)).unwrap();
+        p.add_cell_power(0, 1, 6, Watts::new(0.5));
+        p.clear();
+        assert_eq!(p.total().get(), 0.0);
+        assert!(p.layer_slice(0).iter().all(|&v| v == 0.0));
+        assert_eq!(p.n_layers(), 1);
+        // A cleared map is as good as a new one.
+        p.add_block_power(&m, 0, "left", Watts::new(2.0)).unwrap();
+        let mut fresh = PowerMap::zeros(&m);
+        fresh
+            .add_block_power(&m, 0, "left", Watts::new(2.0))
+            .unwrap();
+        assert_eq!(p.layer_slice(0), fresh.layer_slice(0));
+    }
+
+    #[test]
     fn scale_and_accumulate() {
         let m = model_with_blocks();
         let mut a = PowerMap::zeros(&m);

@@ -1540,6 +1540,99 @@ mod tests {
     }
 
     #[test]
+    fn deadline_current_reports_the_installed_instant() {
+        assert_eq!(DeadlineGuard::current(), None);
+        let outer_at = std::time::Instant::now() + std::time::Duration::from_secs(3600);
+        let inner_at = outer_at + std::time::Duration::from_secs(60);
+        let outer = DeadlineGuard::install(outer_at);
+        assert_eq!(DeadlineGuard::current(), Some(outer_at));
+        {
+            let _inner = DeadlineGuard::install(inner_at);
+            assert_eq!(DeadlineGuard::current(), Some(inner_at));
+        }
+        assert_eq!(DeadlineGuard::current(), Some(outer_at));
+        drop(outer);
+        assert_eq!(DeadlineGuard::current(), None);
+    }
+
+    #[test]
+    fn deadline_is_per_thread_until_re_installed() {
+        // A fresh thread starts without the caller's deadline; carrying
+        // `current()` over and installing it there bounds its solves
+        // exactly as the caller's guard bounds the caller's.
+        let n = 300;
+        let a = chain(n, 2.02);
+        let b = vec![1.0; n];
+        let _guard = DeadlineGuard::install(std::time::Instant::now());
+        let carried = DeadlineGuard::current();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert_eq!(DeadlineGuard::current(), None);
+                let mut x = vec![0.0; n];
+                solve(&a, &b, &mut x, PreconditionerKind::Jacobi)
+                    .expect("no deadline on a fresh thread");
+                let _inherited = carried.map(DeadlineGuard::install);
+                assert_eq!(DeadlineGuard::current(), carried);
+                let mut x = vec![0.0; n];
+                let err = solve(&a, &b, &mut x, PreconditionerKind::Jacobi).unwrap_err();
+                assert!(
+                    matches!(err, ThermalError::DeadlineExceeded { .. }),
+                    "{err}"
+                );
+            });
+        });
+    }
+
+    #[test]
+    fn workspace_reused_across_matrix_sizes_matches_a_fresh_one() {
+        // Buffers grow or shrink to each matrix on entry; nothing left
+        // from a larger solve may leak into a smaller one.
+        let big = chain(3000, 2.001);
+        let small = chain(700, 2.01);
+        let b_big = vec![1.0; 3000];
+        let b_small: Vec<f64> = (0..700).map(|i| ((i * 5) % 13) as f64 * 0.1).collect();
+        for kind in ALL_KINDS {
+            let options = SolverOptions {
+                preconditioner: kind,
+                ..SolverOptions::default()
+            };
+            let prec_big = Preconditioner::build(&big, kind);
+            let prec_small = Preconditioner::build(&small, kind);
+            let mut ws = SolverWorkspace::new();
+            let mut x = vec![0.0; 3000];
+            solve_cg(&big, &prec_big, &b_big, &mut x, &mut ws, &options).unwrap();
+            let mut reused = vec![0.0; 700];
+            let s_reused = solve_cg(
+                &small,
+                &prec_small,
+                &b_small,
+                &mut reused,
+                &mut ws,
+                &options,
+            )
+            .unwrap();
+            let mut fresh = vec![0.0; 700];
+            let s_fresh = solve_cg(
+                &small,
+                &prec_small,
+                &b_small,
+                &mut fresh,
+                &mut SolverWorkspace::new(),
+                &options,
+            )
+            .unwrap();
+            assert_eq!(s_reused, s_fresh, "{kind:?}");
+            assert!(
+                reused
+                    .iter()
+                    .zip(&fresh)
+                    .all(|(p, q)| p.to_bits() == q.to_bits()),
+                "{kind:?}: reused workspace changed the solution"
+            );
+        }
+    }
+
+    #[test]
     fn ic0_factor_of_diagonal_matrix_is_sqrt() {
         let a = CsrMatrix::from_triplets(3, &[(0, 0, 4.0), (1, 1, 9.0), (2, 2, 16.0)]);
         let f = Ic0Factor::factor(&a);

@@ -264,6 +264,20 @@ mod tests {
     }
 
     #[test]
+    fn fill_resets_temperatures_and_the_solve_record() {
+        let m = model();
+        let mut p = PowerMap::zeros(&m);
+        p.add_cell_power(0, 2, 5, Watts::new(4.0));
+        let mut t = m.steady_state(&p).unwrap();
+        assert!(t.stats().iterations > 0);
+        t.fill(Celsius::new(45.0));
+        assert!(t.raw().iter().all(|&v| v == 45.0));
+        assert_eq!(t.raw().len(), m.node_count());
+        assert_eq!(t.stats(), SolveStats::default());
+        assert!(t.recovery().is_empty());
+    }
+
+    #[test]
     fn hotspot_tracks_power_location() {
         let m = model();
         let mut p = PowerMap::zeros(&m);

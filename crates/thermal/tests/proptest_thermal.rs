@@ -211,3 +211,38 @@ proptest! {
         prop_assert!((p.total().get() - watts).abs() < 1e-9 * watts);
     }
 }
+
+/// Every property above. The vendored `proptest!` adds no `#[test]` of
+/// its own, so a property written without one would silently never run.
+const PROPERTIES: &[&str] = &[
+    "conservation_holds_for_random_injections",
+    "no_node_below_ambient",
+    "temperature_rise_is_linear_in_power",
+    "extra_power_never_cools",
+    "rasterization_weights_sum_to_one",
+    "csr_matvec_matches_adjacency",
+    "warm_start_matches_cold_start_solution",
+    "block_power_total_preserved",
+];
+
+#[test]
+fn every_property_is_registered_exactly_once() {
+    let out = std::process::Command::new(std::env::current_exe().unwrap())
+        .arg("--list")
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "listing this test binary failed");
+    let listing = String::from_utf8(out.stdout).unwrap();
+    let mut names: Vec<&str> = listing
+        .lines()
+        .filter_map(|l| l.strip_suffix(": test"))
+        .collect();
+    for property in PROPERTIES {
+        let n = names.iter().filter(|&&name| name == *property).count();
+        assert_eq!(n, 1, "{property} is registered {n} times");
+    }
+    let listed = names.len();
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(names.len(), listed, "a test name is registered twice");
+}
