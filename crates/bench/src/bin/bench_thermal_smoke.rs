@@ -7,10 +7,14 @@
 //! preconditioner head-to-head (setup / apply / full solve, AMG vs
 //! GMG) at 64x64 and 128x128; a stencil-vs-CSR matvec microbench; the
 //! warm- vs cold-started CG cost of one DTM control-period step; and
-//! adaptive-vs-fixed stepping at matched accuracy. The checked-in JSON
-//! is the reference record of the solver-core speedups; regenerate it
-//! on solver changes and eyeball the diff.
+//! adaptive-vs-fixed stepping at matched accuracy. The preconditioner
+//! and matvec rows time N repeats of one call each and report min,
+//! median and interquartile range; the report is stamped with the host's
+//! thread count and the git revision it was built from. The checked-in
+//! JSON is the reference record of the solver-core speedups; regenerate
+//! it on solver changes and eyeball the diff.
 
+use std::process::Command;
 use std::time::Instant;
 
 use serde::Serialize;
@@ -38,26 +42,38 @@ struct SteadyRow {
     speedup: f64,
 }
 
+/// Wall time of `reps` repeats of one call, ms: the fastest repeat,
+/// the median, and the interquartile range (quartiles interpolated
+/// linearly between order statistics).
+#[derive(Serialize)]
+struct Timing {
+    min_ms: f64,
+    median_ms: f64,
+    iqr_ms: f64,
+    reps: usize,
+}
+
 /// AMG-vs-GMG head-to-head over the same matrix: hierarchy setup, one
 /// preconditioner apply, and the full preconditioned steady solve.
 #[derive(Serialize)]
 struct PrecRow {
     grid: usize,
     kind: &'static str,
-    setup_ms: f64,
-    apply_ms: f64,
-    solve_ms: f64,
+    setup: Timing,
+    apply: Timing,
+    solve: Timing,
     solve_iters: usize,
 }
 
 /// Serial `y = A x` through the flat CSR rows vs the coefficient-plane
-/// stencil sweep (same arithmetic, bit-identical output).
+/// stencil sweep (same arithmetic, bit-identical output); `speedup` is
+/// the ratio of the medians.
 #[derive(Serialize)]
 struct MatvecRow {
     grid: usize,
     nodes: usize,
-    csr_ms: f64,
-    stencil_ms: f64,
+    csr: Timing,
+    stencil: Timing,
     speedup: f64,
 }
 
@@ -127,6 +143,10 @@ struct SweepGrid {
 #[derive(Serialize)]
 struct Report {
     description: &'static str,
+    /// Hardware threads available to the process.
+    nproc: usize,
+    /// `git describe --always --dirty` of the tree the binary ran in.
+    git_rev: String,
     scheme: &'static str,
     steady_state: Vec<SteadyRow>,
     preconditioner: Vec<PrecRow>,
@@ -143,6 +163,41 @@ fn time_ms<O>(reps: usize, mut f: impl FnMut() -> O) -> f64 {
         std::hint::black_box(f());
     }
     t0.elapsed().as_secs_f64() * 1e3 / reps as f64
+}
+
+fn timing<O>(reps: usize, mut f: impl FnMut() -> O) -> Timing {
+    let mut samples: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            std::hint::black_box(f());
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    let quantile = |q: f64| {
+        let pos = q * (samples.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        samples[lo] + (samples[hi] - samples[lo]) * (pos - lo as f64)
+    };
+    Timing {
+        min_ms: samples[0],
+        median_ms: quantile(0.5),
+        iqr_ms: quantile(0.75) - quantile(0.25),
+        reps,
+    }
+}
+
+fn git_rev() -> String {
+    Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=40"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map_or_else(
+            || "unknown".into(),
+            |o| String::from_utf8_lossy(&o.stdout).trim().to_string(),
+        )
 }
 
 fn kind_label(kind: PreconditionerKind) -> &'static str {
@@ -215,7 +270,7 @@ fn main() {
         let mut r = vec![0.0; x.len()];
         model.csr().matvec_serial(&x, &mut r);
         let mut z = vec![0.0; x.len()];
-        let prec_reps = if grid == 128 { 5 } else { 10 };
+        let (apply_reps, setup_solve_reps) = if grid == 128 { (11, 5) } else { (21, 7) };
         for kind in [PreconditionerKind::Amg, PreconditionerKind::Gmg] {
             let build_one = || match kind {
                 PreconditionerKind::Gmg => Preconditioner::build_gmg(
@@ -228,8 +283,8 @@ fn main() {
                 _ => Preconditioner::build(model.csr(), kind),
             };
             let prec = build_one();
-            let setup_ms = time_ms(if grid == 128 { 2 } else { 5 }, build_one);
-            let apply_ms = time_ms(prec_reps, || prec.apply_timed(model.csr(), &r, &mut z));
+            let setup = timing(setup_solve_reps, build_one);
+            let apply = timing(apply_reps, || prec.apply_timed(model.csr(), &r, &mut z));
             model.set_solver_options(SolverOptions {
                 preconditioner: kind,
                 ..*model.solver_options()
@@ -237,30 +292,30 @@ fn main() {
             let field = model
                 .steady_state_from(&p, None, &mut ws)
                 .expect("preconditioned solve");
-            let solve_ms = time_ms(if grid == 128 { 2 } else { 5 }, || {
+            let solve = timing(setup_solve_reps, || {
                 model.steady_state_from(&p, None, &mut ws).expect("solve")
             });
             preconditioner.push(PrecRow {
                 grid,
                 kind: kind_label(kind),
-                setup_ms,
-                apply_ms,
-                solve_ms,
+                setup,
+                apply,
+                solve,
                 solve_iters: field.stats().iterations,
             });
         }
 
         let stencil = model.stencil().expect("paper stacks are structured");
         let mut y = vec![0.0; x.len()];
-        let mv_reps = if grid == 128 { 20 } else { 50 };
-        let csr_ms = time_ms(mv_reps, || model.csr().matvec_serial(&x, &mut y));
-        let stencil_ms = time_ms(mv_reps, || stencil.matvec_serial(&x, &mut y));
+        let mv_reps = if grid == 128 { 21 } else { 51 };
+        let csr = timing(mv_reps, || model.csr().matvec_serial(&x, &mut y));
+        let stencil = timing(mv_reps, || stencil.matvec_serial(&x, &mut y));
         matvec.push(MatvecRow {
             grid,
             nodes: model.node_count(),
-            csr_ms,
-            stencil_ms,
-            speedup: csr_ms / stencil_ms,
+            speedup: csr.median_ms / stencil.median_ms,
+            csr,
+            stencil,
         });
     }
 
@@ -503,11 +558,14 @@ fn main() {
                       pick (matrix-free stencil + geometric multigrid at 32x32 and up, \
                       CSR+AMG below) vs the seed adjacency Jacobi-CG path, the AMG-vs-GMG \
                       preconditioner head-to-head (setup/apply/solve at 64x64 and 128x128), \
-                      the stencil-vs-CSR matvec microbench, warm- vs cold-started DTM \
+                      the stencil-vs-CSR matvec microbench (preconditioner and matvec \
+                      rows: min/median/IQR over N repeats), warm- vs cold-started DTM \
                       steps, adaptive- vs fixed-stepping at matched accuracy on the \
                       dtm_longrun workload, sweep-engine throughput with a chaos \
                       retry/quarantine drill, and the enabled-sink observability \
                       overhead. Regenerate with ./ci.sh bench.",
+        nproc: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        git_rev: git_rev(),
         scheme: "BankEnhanced",
         steady_state: steady,
         preconditioner,

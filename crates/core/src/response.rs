@@ -527,6 +527,28 @@ mod tests {
     }
 
     #[test]
+    fn response_bits_match_the_locked_digest() {
+        // FNV-1a over every f64 bit of the 32x32 table, where the model
+        // picks the geometric multigrid. A kernel or cycle change that
+        // claims bit identity must leave this constant alone; one that
+        // moves the bits on purpose updates it and bumps CACHE_VERSION.
+        const LOCKED: u64 = 0xdfbe_efc6_08d2_1727;
+        let built = StackConfig::paper_default(XylemScheme::BankEnhanced)
+            .build()
+            .unwrap();
+        let r = ThermalResponse::compute(&built, GridSpec::new(32, 32)).unwrap();
+        let bytes: Vec<u8> = r
+            .proc_response
+            .iter()
+            .chain(&r.dram_response)
+            .flatten()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .collect();
+        let digest = crate::checkpoint::fnv1a(&bytes);
+        assert_eq!(digest, LOCKED, "response digest moved: {digest:#018x}");
+    }
+
+    #[test]
     fn build_inside_a_pool_task_matches_a_direct_build() {
         // Opened from a pool worker, the build's chain tasks (and their
         // kernels) run inline there: it must complete, with the same

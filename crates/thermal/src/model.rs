@@ -68,8 +68,9 @@ pub struct ThermalModel {
     /// Matrix-free structured-grid view of `csr` (coefficient planes, no
     /// column indices in the inner loop), extracted at build time when
     /// the node graph matches the 7-point layout. Grids built here always
-    /// do; `None` guards future irregular topologies.
-    stencil: Option<StencilOperator>,
+    /// do; `None` guards future irregular topologies. Shared with the
+    /// finest level of a geometric multigrid preconditioner.
+    stencil: Option<Arc<StencilOperator>>,
     /// Preconditioner built for `csr` per the current solver options.
     prec: Preconditioner,
     /// Cached backward-Euler operator `G + C/dt` (+ its preconditioner),
@@ -90,8 +91,9 @@ struct TransientOp {
     kind: PreconditionerKind,
     a: CsrMatrix,
     /// Stencil view of `a` — the diagonal-patched clone of the model's
-    /// stencil, so transient solves keep the matrix-free fast path.
-    stencil: Option<StencilOperator>,
+    /// stencil, so transient solves keep the matrix-free fast path;
+    /// shared with `prec` when that is geometric multigrid.
+    stencil: Option<Arc<StencilOperator>>,
     prec: Preconditioner,
 }
 
@@ -102,19 +104,18 @@ struct TransientOp {
 /// pairwise aggregation on both setup and apply.
 const GMG_MIN_CELLS: usize = 1024;
 
-/// Builds the preconditioner for `kind` over `a`, supplying the grid
-/// geometry the geometric hierarchy needs. When `kind` is
-/// [`PreconditionerKind::Gmg`] but the hierarchy cannot be built (a
-/// matrix whose shape does not match the grid), falls back to
+/// Builds the preconditioner for `kind` over `a`. A geometric hierarchy
+/// is built on `stencil` (the stencil view of `a`), which becomes its
+/// finest level; when `kind` is [`PreconditionerKind::Gmg`] but there
+/// is no stencil or a level is not stencil-shaped, falls back to
 /// [`Preconditioner::build`], which degrades GMG to AMG.
 fn build_prec_for(
     a: &CsrMatrix,
-    grid: GridSpec,
-    n_layers: usize,
+    stencil: Option<&Arc<StencilOperator>>,
     kind: PreconditionerKind,
 ) -> Preconditioner {
     if kind == PreconditionerKind::Gmg {
-        if let Some(p) = Preconditioner::build_gmg(a, grid.nx(), grid.ny(), n_layers) {
+        if let Some(p) = stencil.and_then(|s| Preconditioner::build_gmg_shared(a, Arc::clone(s))) {
             return p;
         }
     }
@@ -372,7 +373,8 @@ impl ThermalModel {
         // the geometric multigrid preconditioner, which needs the stencil
         // geometry; small ones keep AMG (see [`GMG_MIN_CELLS`]).
         let csr = CsrMatrix::from_adjacency(&neighbors, &diagonal);
-        let stencil = StencilOperator::from_csr(&csr, grid.nx(), grid.ny(), n_solver_layers);
+        let stencil =
+            StencilOperator::from_csr(&csr, grid.nx(), grid.ny(), n_solver_layers).map(Arc::new);
         let preconditioner = if cells >= GMG_MIN_CELLS && stencil.is_some() {
             PreconditionerKind::Gmg
         } else {
@@ -382,7 +384,7 @@ impl ThermalModel {
             preconditioner,
             ..SolverOptions::default()
         };
-        let prec = build_prec_for(&csr, grid, n_solver_layers, solver_options.preconditioner);
+        let prec = build_prec_for(&csr, stencil.as_ref(), solver_options.preconditioner);
 
         Ok(ThermalModel {
             grid,
@@ -500,12 +502,7 @@ impl ThermalModel {
     /// kind changed and drops the cached transient operator.
     pub fn set_solver_options(&mut self, options: SolverOptions) {
         if options.preconditioner != self.solver_options.preconditioner {
-            self.prec = build_prec_for(
-                &self.csr,
-                self.grid,
-                3 + self.n_user_layers,
-                options.preconditioner,
-            );
+            self.prec = build_prec_for(&self.csr, self.stencil.as_ref(), options.preconditioner);
             self.transient_cache = TransientCache::default();
         }
         self.solver_options = options;
@@ -520,13 +517,13 @@ impl ThermalModel {
     /// The matrix-free structured-grid view of the conductance matrix,
     /// when the node graph matched the 7-point layout at build time.
     pub fn stencil(&self) -> Option<&StencilOperator> {
-        self.stencil.as_ref()
+        self.stencil.as_deref()
     }
 
     /// The steady-state operator, routed through the fastest matvec
     /// backend available (stencil sweeps when extracted, CSR otherwise).
     fn operator(&self) -> Operator<'_> {
-        Operator::with_stencil(&self.csr, self.stencil.as_ref())
+        Operator::with_stencil(&self.csr, self.stencil.as_deref())
     }
 
     /// Current solver options.
@@ -859,8 +856,11 @@ impl ThermalModel {
         }
         let patch: Vec<f64> = self.capacitance.iter().map(|c| c / dt).collect();
         let a = self.csr.with_diagonal_added(&patch);
-        let stencil = self.stencil.as_ref().map(|s| s.with_diagonal_added(&patch));
-        let prec = build_prec_for(&a, self.grid, 3 + self.n_user_layers, kind);
+        let stencil = self
+            .stencil
+            .as_ref()
+            .map(|s| Arc::new(s.with_diagonal_added(&patch)));
+        let prec = build_prec_for(&a, stencil.as_ref(), kind);
         let op = Arc::new(TransientOp {
             dt,
             kind,
@@ -881,7 +881,10 @@ impl ThermalModel {
         f: impl FnOnce(Operator<'_>, &Preconditioner) -> R,
     ) -> R {
         let op = self.transient_op(dt);
-        f(Operator::with_stencil(&op.a, op.stencil.as_ref()), &op.prec)
+        f(
+            Operator::with_stencil(&op.a, op.stencil.as_deref()),
+            &op.prec,
+        )
     }
 
     /// One backward-Euler step of `dt` seconds, in place: forms the BE

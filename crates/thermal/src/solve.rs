@@ -55,6 +55,8 @@
 //! [`solve_cg_resilient`] remain the CSR-only entry points;
 //! `*_with` variants accept an [`Operator`].
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::amg::CycleScratch;
@@ -451,11 +453,21 @@ impl Preconditioner {
 
     /// Builds the geometric multigrid preconditioner for a structured
     /// matrix with `nl` grid layers of `nx x ny` cells (see
-    /// [`crate::gmg`]). Returns `None` when the matrix does not match
-    /// that geometry.
+    /// [`crate::gmg`]), extracting the finest level's stencil from `a`.
+    /// Returns `None` when the matrix does not match that geometry.
     #[must_use]
     pub fn build_gmg(a: &CsrMatrix, nx: usize, ny: usize, nl: usize) -> Option<Self> {
-        crate::gmg::GmgHierarchy::build(a, nx, ny, nl).map(|h| Preconditioner::Gmg(Box::new(h)))
+        let fine = StencilOperator::from_csr(a, nx, ny, nl)?;
+        Self::build_gmg_shared(a, Arc::new(fine))
+    }
+
+    /// [`Preconditioner::build_gmg`] for a caller that already holds
+    /// the stencil view of `a`: the hierarchy's finest level shares
+    /// `fine` instead of extracting a second copy. Returns `None` when
+    /// a level of the hierarchy is not stencil-shaped.
+    #[must_use]
+    pub(crate) fn build_gmg_shared(a: &CsrMatrix, fine: Arc<StencilOperator>) -> Option<Self> {
+        crate::gmg::GmgHierarchy::build(a, fine).map(|h| Preconditioner::Gmg(Box::new(h)))
     }
 
     /// `z = M^-1 r` as a standalone call — benchmark/diagnostic entry
@@ -541,7 +553,7 @@ impl Preconditioner {
                 None
             }
             Preconditioner::Gmg(h) => {
-                h.apply(a, r, z, mg);
+                h.apply(r, z, mg);
                 None
             }
         }

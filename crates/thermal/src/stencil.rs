@@ -6,14 +6,20 @@
 //! below. [`StencilOperator`] stores those couplings as seven per-node
 //! *coefficient planes* (`up`, `south`, `west`, `diag`, `east`, `north`,
 //! `down`), so the matvec inner loop is an x-line sweep over contiguous
-//! arrays with fixed strides — no CSR column-index loads, and neighbor
-//! presence is decided per line/span rather than per entry, which keeps
-//! the hot span a branch-free SIMD-friendly fused-multiply chain.
+//! arrays with fixed strides — no CSR column-index loads. Neighbor
+//! presence is decided per line/span rather than per entry: each x-line
+//! peels its west/east boundary cells, and a span whose cells have all
+//! six neighbors (the bulk of the grid) runs a branch-free fast path
+//! over pre-sliced plane and `x` windows of equal length, which the
+//! compiler turns into a bounds-check-free vectorized loop. Edge lines
+//! and the top/bottom layers take a flagged loop with the same fold.
 //!
 //! The handful of rows that are *not* structured — the package rim
 //! couplings from edge cells of the spreader/sink layers to the 12
 //! peripheral tail nodes, and the tail rows themselves — are kept in a
-//! small CSR-like side structure walked after the stencil terms.
+//! small CSR-like side structure. Rim terms are folded in a second pass
+//! over a span, run only when the span has rim entries, which resumes
+//! each cell's fold from its stored `y` value.
 //!
 //! # Bit-identity with the CSR matvec
 //!
@@ -23,13 +29,16 @@
 //! column order is exactly `up (i-nx*ny)`, `south (i-nx)`, `west (i-1)`,
 //! `diag (i)`, `east (i+1)`, `north (i+nx)`, `down (i+nx*ny)`, followed
 //! by any rim columns (all `>=` the grid-node count). The stencil sweep
-//! folds its terms in that same order, *skipping* absent neighbors
+//! folds its terms in that same order and *skips* absent neighbors
 //! entirely (never multiplying by a stored zero, which could flip the
-//! sign of a zero or round differently), so `y` is bitwise identical to
-//! the CSR result — the solver can switch backends without perturbing a
-//! single ULP. [`StencilOperator::from_csr`] verifies the structure
-//! entry-by-entry during extraction and refuses (returns `None`) on any
-//! matrix that is not exactly this shape.
+//! sign of a zero or round differently). The rim pass continues each
+//! cell's accumulator, so splitting it off changes no addition; the
+//! fast path vectorizes across cells, never within one cell's fold; and
+//! Rust never contracts `a * b + c` into a fused multiply-add. So `y` is
+//! bitwise identical to the CSR result — the solver can switch backends
+//! without perturbing a single ULP. [`StencilOperator::from_csr`]
+//! verifies the structure entry-by-entry during extraction and refuses
+//! (returns `None`) on any matrix that is not exactly this shape.
 //!
 //! Parallel sweeps reuse the CSR kernel's row-chunk partition
 //! ([`crate::csr`]'s `ROW_CHUNK` / [`PAR_MIN_ROWS`]), so serial and
@@ -234,6 +243,22 @@ impl StencilOperator {
         self.nl * self.cells
     }
 
+    /// The diagonal coefficient plane (one entry per grid node).
+    pub(crate) fn diag_plane(&self) -> &[f64] {
+        &self.diag
+    }
+
+    /// The coupling of each grid node to the node one layer down (the
+    /// bottom layer's entries are unused zeros).
+    pub(crate) fn down_plane(&self) -> &[f64] {
+        &self.down
+    }
+
+    /// The diagonal entry of each tail row, in tail order.
+    pub(crate) fn tail_diagonal(&self) -> impl Iterator<Item = f64> + '_ {
+        self.tail_diag.iter().map(|&p| self.tail_vals[p as usize])
+    }
+
     /// A clone with `patch[i]` added to each diagonal coefficient — the
     /// backward-Euler operator `A + C/dt`, mirroring
     /// [`CsrMatrix::with_diagonal_added`].
@@ -259,6 +284,13 @@ impl StencilOperator {
     /// neighbor-presence flags. Terms fold in ascending-column order —
     /// exactly the CSR row order — so the result is bit-identical to
     /// [`CsrMatrix::matvec_serial`].
+    ///
+    /// Spans where all six neighbours exist take a branch-free path:
+    /// each term reads a fixed-offset window of `x` and a plane slice of
+    /// the span's length, so the loop carries no bounds checks and no
+    /// per-cell flags. Rim terms (package-edge cells only) follow in a
+    /// second pass that resumes each cell's fold from the stored `y`,
+    /// which is the same sequence of additions as folding them inline.
     #[inline]
     fn sweep_span(
         &self,
@@ -271,30 +303,71 @@ impl StencilOperator {
     ) {
         let cells = self.cells;
         let nx = self.nx;
+        let len = y.len();
+        let i1 = i0 + len;
+        if west && east && fl.up && fl.south && fl.north && fl.down {
+            let (up, south, w, diag) = (
+                &self.up[i0..i1],
+                &self.south[i0..i1],
+                &self.west[i0..i1],
+                &self.diag[i0..i1],
+            );
+            let (e, north, down) = (&self.east[i0..i1], &self.north[i0..i1], &self.down[i0..i1]);
+            let (xu, xs, xw, xc) = (
+                &x[i0 - cells..i1 - cells],
+                &x[i0 - nx..i1 - nx],
+                &x[i0 - 1..i1 - 1],
+                &x[i0..i1],
+            );
+            let (xe, xn, xd) = (
+                &x[i0 + 1..i1 + 1],
+                &x[i0 + nx..i1 + nx],
+                &x[i0 + cells..i1 + cells],
+            );
+            for k in 0..len {
+                let mut acc = 0.0;
+                acc += up[k] * xu[k];
+                acc += south[k] * xs[k];
+                acc += w[k] * xw[k];
+                acc += diag[k] * xc[k];
+                acc += e[k] * xe[k];
+                acc += north[k] * xn[k];
+                acc += down[k] * xd[k];
+                y[k] = acc;
+            }
+        } else {
+            for (k, yi) in y.iter_mut().enumerate() {
+                let i = i0 + k;
+                let mut acc = 0.0;
+                if fl.up {
+                    acc += self.up[i] * x[i - cells];
+                }
+                if fl.south {
+                    acc += self.south[i] * x[i - nx];
+                }
+                if west {
+                    acc += self.west[i] * x[i - 1];
+                }
+                acc += self.diag[i] * x[i];
+                if east {
+                    acc += self.east[i] * x[i + 1];
+                }
+                if fl.north {
+                    acc += self.north[i] * x[i + nx];
+                }
+                if fl.down {
+                    acc += self.down[i] * x[i + cells];
+                }
+                *yi = acc;
+            }
+        }
+        if self.rim_ptr[i0] == self.rim_ptr[i1] {
+            return;
+        }
         for (k, yi) in y.iter_mut().enumerate() {
-            let i = i0 + k;
-            let mut acc = 0.0;
-            if fl.up {
-                acc += self.up[i] * x[i - cells];
-            }
-            if fl.south {
-                acc += self.south[i] * x[i - nx];
-            }
-            if west {
-                acc += self.west[i] * x[i - 1];
-            }
-            acc += self.diag[i] * x[i];
-            if east {
-                acc += self.east[i] * x[i + 1];
-            }
-            if fl.north {
-                acc += self.north[i] * x[i + nx];
-            }
-            if fl.down {
-                acc += self.down[i] * x[i + cells];
-            }
-            let lo = self.rim_ptr[i] as usize;
-            let hi = self.rim_ptr[i + 1] as usize;
+            let lo = self.rim_ptr[i0 + k] as usize;
+            let hi = self.rim_ptr[i0 + k + 1] as usize;
+            let mut acc = *yi;
             for e in lo..hi {
                 acc += self.rim_vals[e] * x[self.rim_cols[e] as usize];
             }
